@@ -382,11 +382,10 @@ def cmd_verify(args) -> int:
     # KeyboardInterrupt runs every finally on the way out (workers
     # reaped, journal flushed, session lock released) and main() maps
     # it to exit 130 -- never exit 3, the interrupt is not an internal
-    # error.  The previous disposition is restored on the way out:
-    # embedded callers (tests driving main() in-process) must not leak
-    # the handler into their process, where later *forked* solver
-    # workers would inherit it and trap the pool's own terminate()
-    # SIGTERM as a Python-level interrupt instead of dying.
+    # error.  The previous disposition is restored on the way out, so
+    # embedded callers (tests driving main() in-process) do not keep
+    # the handler.  Solver workers reset SIGTERM to the default on
+    # entry, so the scheduler's terminate() still kills them quietly.
     previous = None
     try:
         previous = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)

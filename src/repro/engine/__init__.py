@@ -7,8 +7,10 @@ infrastructure:
 
 - :mod:`repro.engine.tasks`     -- VCs as self-contained picklable work units
 - :mod:`repro.engine.codec`     -- intern-safe wire format for term DAGs
-- :mod:`repro.engine.scheduler` -- multiprocessing shard with per-task timeouts,
-  streaming one result per VC as verdicts land
+- :mod:`repro.engine.scheduler` -- one supervised worker process per unit
+  (per-task timeouts, crash retry, portfolio races), streaming one result
+  per VC as verdicts land; ``jobs=1`` with no timeout, budget, portfolio
+  or worker-fault plan solves in-process instead
 - :mod:`repro.engine.cache`     -- persistent verdict cache keyed by formula hash
 - :mod:`repro.engine.plancache` -- persistent plan cache (simplified VCs + subst
   logs keyed on program text, config, and planner code version)

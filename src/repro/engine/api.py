@@ -55,17 +55,13 @@ class VerificationEngine:
         encoding: str = "decidable",
         memory_safety: bool = True,
         conflict_budget: Optional[int] = 200000,
-        mp_context: Optional[str] = None,
         simplify: bool = True,
         batch: bool = True,
         batch_size: int = 16,
         batch_node_limit: int = 200,
     ):
         # Diagnostics are recomputed per failed VC; the legacy report has
-        # nowhere to put them, so the shim's session skips the work.  No
-        # persistent pool either: the historical engine spawned throwaway
-        # pools, and silently keeping worker processes alive would change
-        # resource behavior under callers that never close().
+        # nowhere to put them, so the shim's session skips the work.
         self._session = VerificationSession(
             jobs=jobs,
             backend=backend,
@@ -75,13 +71,11 @@ class VerificationEngine:
             encoding=encoding,
             memory_safety=memory_safety,
             conflict_budget=conflict_budget,
-            mp_context=mp_context,
             simplify=simplify,
             batch=batch,
             batch_size=batch_size,
             batch_node_limit=batch_node_limit,
             diagnostics=False,
-            persistent_pool=False,
         )
 
     def __getattr__(self, name: str):
@@ -113,7 +107,7 @@ class VerificationEngine:
 
         Plans are generated eagerly and their units solved through one
         shared scheduler pass, so VCs of *different* methods fill the
-        worker pool together -- the whole suite is one big task bag.
+        worker slots together -- the whole suite is one big task bag.
         ``method_budget_s`` here bounds the whole batch (it is one bag).
         """
         session = self._session
@@ -136,7 +130,6 @@ class VerificationEngine:
             _reindexed(all_units),
             jobs=session.jobs,
             cache=session.cache,
-            mp_context=session.mp_context,
             deadline_s=session.method_budget_s,
         )
         reports: List[MethodReport] = []

@@ -31,16 +31,20 @@ open for the others.  The race lives here rather than inside a
 may be subprocess-bound -- only the scheduler can run them truly
 concurrently and cancel the losers.
 
-``jobs=1`` with no timeout takes a pure in-process path that is
-byte-for-byte the sequential ``Verifier.verify`` verdict computation
-(the "same-verdict sequential fallback"); portfolio units always take
-the process path, since a race needs real concurrent workers.
+One rule picks the execution path.  ``jobs=1`` with no per-VC timeout,
+no bag deadline, no portfolio backend and no worker-killing fault plan
+runs in-process, byte-for-byte the sequential ``Verifier.verify``
+verdict computation (the "same-verdict sequential fallback").  Every
+other bag runs through the supervised process-per-unit loop: each unit
+gets a fresh worker that dies with it, so deadlines, crash retry and
+races apply uniformly and no worker outlives the call.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import time
 from dataclasses import replace
 from multiprocessing.connection import wait as conn_wait
@@ -189,26 +193,19 @@ def _waiter_task(unit: TaskUnit, index: int, label: str, formula: Term) -> Solve
     )
 
 
-def _pool_solve(unit: TaskUnit) -> List[TaskResult]:
-    """Pool worker body: never let an exception escape (it would poison
-    the whole imap)."""
-    try:
-        if isinstance(unit, BatchTask):
-            return list(solve_batch(unit))
-        return [solve_one(unit)]
-    except BaseException as e:  # noqa: BLE001
-        return [
-            TaskResult(ix, label, "error", f"worker crash: {e!r}")
-            for ix, label in _unit_slots(unit)
-        ]
-
-
 def _worker(conn, unit: TaskUnit) -> None:
     """Worker entry point: solve one unit, stream results, exit.
 
     Protocol: one ``TaskResult`` message per VC (batches stream them as
     goals are decided), then a ``None`` sentinel.
     """
+    # A forked worker inherits the parent's signal handlers: a handler
+    # that raises (``repro verify`` maps SIGTERM to KeyboardInterrupt) or
+    # ignores the signal (``repro serve`` drains on it) would turn the
+    # parent's terminate() into a traceback or a worker that outlives
+    # its deadline.  Workers die on SIGTERM/SIGINT, quietly.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
     def ship(obj) -> bool:
         try:
@@ -335,7 +332,6 @@ def solve_tasks(
     units: Sequence[TaskUnit],
     jobs: int = 1,
     cache: Optional[VcCache] = None,
-    mp_context: Optional[str] = None,
     deadline_s: Optional[float] = None,
     max_retries: int = 2,
 ) -> List[TaskResult]:
@@ -352,7 +348,6 @@ def solve_tasks(
             units,
             jobs=jobs,
             cache=cache,
-            mp_context=mp_context,
             deadline_s=deadline_s,
             max_retries=max_retries,
         )
@@ -364,9 +359,7 @@ def stream_tasks(
     units: Sequence[TaskUnit],
     jobs: int = 1,
     cache: Optional[VcCache] = None,
-    mp_context: Optional[str] = None,
     deadline_s: Optional[float] = None,
-    pool_factory=None,
     max_retries: int = 2,
 ):
     """Solve every unit, *yielding* one :class:`TaskResult` per VC slot
@@ -395,14 +388,10 @@ def stream_tasks(
     each slot on the first definitive verdict (``TaskResult.winner``
     names the member), terminating losers once the unit settles; raced
     verdicts are additionally cached under the winning member's key so a
-    warm single-backend run replays them.  ``pool_factory`` lends a
-    persistent ``multiprocessing.Pool`` for the no-timeout parallel path
-    (a session amortizes worker spawns across calls); it is a zero-arg
-    callable invoked only once at least one cache-missing unit actually
-    needs a worker -- a fully warm-cache run spawns no processes at all.
-    Without one, a throwaway pool is used.
+    warm single-backend run replays them.  Workers are spawned only for
+    cache-missing units, so a fully warm-cache run spawns no processes.
 
-    Worker deaths on the isolation path are *supervised*: a dead
+    Worker deaths are *supervised*: a dead
     worker's unsettled slots are retried up to ``max_retries`` times
     with bounded exponential backoff.  A crash is classified transient
     when it is the unit's first, or when the worker streamed progress
@@ -542,54 +531,28 @@ def stream_tasks(
         return out
 
     fault_plan = faults.active()
-    needs_isolation = (
-        deadline_s is not None
-        or any(u.timeout_s is not None for u in pending)
+    in_process = (
+        jobs <= 1
+        and deadline_s is None
+        and all(u.timeout_s is None for u in pending)
         # A race needs real concurrent workers to win and losers to
         # cancel, so portfolio units always take the process path.
-        or any(portfolio_of(u.backend_spec) for u in pending)
-        # Worker-killing fault plans need the supervised process path:
-        # a pool would hang or poison its imap on a member death.
-        or (fault_plan is not None and fault_plan.wants_worker_isolation())
+        and not any(portfolio_of(u.backend_spec) for u in pending)
+        # Worker-killing fault plans need a worker to kill.
+        and not (fault_plan is not None and fault_plan.wants_worker_isolation())
     )
-    if not needs_isolation:
-        if jobs <= 1:
-            # Sequential fallback: identical to Verifier.verify's solve loop.
-            for unit in pending:
-                if isinstance(unit, BatchTask):
-                    for res in solve_batch(unit):
-                        yield from settle(res)
-                else:
-                    yield from settle(solve_one(unit))
-            while retry_tasks:
-                yield from settle(solve_one(retry_tasks.pop(0)))
-        elif pending:
-            # No timeouts to enforce: a persistent worker pool amortizes
-            # process startup across units (one spawn per worker, not per
-            # VC); a session-lent pool amortizes it across calls too.
-            if pool_factory is not None:
-                own_pool = None
-                pool = pool_factory()
+    if in_process:
+        # Sequential fallback: identical to Verifier.verify's solve loop.
+        for unit in pending:
+            if isinstance(unit, BatchTask):
+                for res in solve_batch(unit):
+                    yield from settle(res)
             else:
-                ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-                pool = own_pool = ctx.Pool(processes=min(jobs, len(pending)))
-            try:
-                work: List[TaskUnit] = pending
-                while work:
-                    for payload in pool.imap_unordered(_pool_solve, work):
-                        for res in payload:
-                            yield from settle(res)
-                    # Orphaned dedup waiters re-run standalone through the
-                    # same pool (a retry has no waiters, so this drains).
-                    work = list(retry_tasks)
-                    del retry_tasks[:]
-            finally:
-                if own_pool is not None:
-                    own_pool.terminate()
-                    own_pool.join()
+                yield from settle(solve_one(unit))
+        while retry_tasks:
+            yield from settle(solve_one(retry_tasks.pop(0)))
         return
 
-    ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
     queue: List[TaskUnit] = list(pending)
     running: List[_Running] = []
     # Crash-retried units parked until their backoff expires:
@@ -600,8 +563,8 @@ def stream_tasks(
     )
 
     def spawn(unit: TaskUnit, race=None, member=None) -> _Running:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker, args=(child_conn, unit), daemon=True)
+        parent_conn, child_conn = mp.Pipe(duplex=False)
+        proc = mp.Process(target=_worker, args=(child_conn, unit), daemon=True)
         proc.start()
         child_conn.close()
         run = _Running(proc, parent_conn, unit, race=race, member=member)
@@ -699,33 +662,38 @@ def stream_tasks(
                 retire(sib)
         return out
 
-    def fail_remaining(
-        run: _Running, verdict: str, detail: str, now: float, fanout_all: bool = False
+    def fail_slots(
+        group, verdict: str, detail: str, now: float, fanout_all: bool = False, **extra
     ) -> List[TaskResult]:
+        """Settle every unsettled slot of a worker or race ``group`` with
+        one failure verdict (``extra`` is TaskResult attribution)."""
         out: List[TaskResult] = []
-        for ix, label in run.remaining.items():
-            out.extend(
-                settle(
-                    TaskResult(ix, label, verdict, detail, time_s=now - run.started),
-                    fanout_all=fanout_all,
-                )
+        for ix, label in group.remaining.items():
+            res = TaskResult(
+                ix, label, verdict, detail, time_s=now - group.started, **extra
             )
-        run.remaining.clear()
+            out.extend(settle(res, fanout_all=fanout_all))
+        group.remaining.clear()
         return out
 
-    def fail_race(
-        race: _Race, verdict: str, detail: str, now: float, fanout_all: bool = False
-    ) -> List[TaskResult]:
-        out: List[TaskResult] = []
-        for ix, label in race.remaining.items():
-            out.extend(
-                settle(
-                    TaskResult(ix, label, verdict, detail, time_s=now - race.started),
-                    fanout_all=fanout_all,
+    def expire(group, now: float) -> List[TaskResult]:
+        """A worker's or race's budget bank ran out (its workers are
+        already drained and retired).  Only the entry being solved when
+        the bank ran out actually timed out; a batch's never-attempted
+        rest is re-queued as standalone tasks with fresh budgets (the
+        bag deadline still bounds the whole method)."""
+        detail = f"budget {group.unit.timeout_s:g}s"
+        if isinstance(group.unit, BatchTask) and len(group.remaining) > 1:
+            in_flight = next(iter(group.remaining))
+            label = group.remaining.pop(in_flight)
+            queue.extend(_requeue_singles(group.unit, group.remaining))
+            group.remaining.clear()
+            return settle(
+                TaskResult(
+                    in_flight, label, "timeout", detail, time_s=now - group.started
                 )
             )
-        race.remaining.clear()
-        return out
+        return fail_slots(group, "timeout", detail, now)
 
     def crash_retry(run: _Running, now: float, detail: str) -> List[TaskResult]:
         """Supervised retry for a dead worker's unsettled slots.
@@ -736,9 +704,8 @@ def stream_tasks(
         or exhausts ``max_retries``, is quarantined: retrying a
         deterministic crash would loop forever.
         """
-        out: List[TaskResult] = []
         if not run.remaining:
-            return out
+            return []
         unit = run.unit
         progressed = run.delivered > 0
         streak = 1 if progressed else unit.crash_streak + 1
@@ -749,23 +716,14 @@ def stream_tasks(
                 if streak >= 2
                 else f"retry budget ({max_retries}) exhausted"
             )
-            for ix, label in run.remaining.items():
-                out.extend(
-                    settle(
-                        TaskResult(
-                            ix,
-                            label,
-                            "error",
-                            f"quarantined after {total} worker crash(es), "
-                            f"{why}: {detail}",
-                            time_s=now - run.started,
-                            retries=unit.attempt,
-                            quarantined=True,
-                        )
-                    )
-                )
-            run.remaining.clear()
-            return out
+            return fail_slots(
+                run,
+                "error",
+                f"quarantined after {total} worker crash(es), {why}: {detail}",
+                now,
+                retries=unit.attempt,
+                quarantined=True,
+            )
         backoff = min(_BACKOFF_BASE_S * (2 ** unit.attempt), _BACKOFF_CAP_S)
         if isinstance(unit, BatchTask) and len(run.remaining) < len(unit.entries):
             # Partial progress: only the unsettled entries come back, as
@@ -780,7 +738,17 @@ def stream_tasks(
         run.remaining.clear()
         for retry_unit in retry_units:
             delayed.append((now + backoff, retry_unit))
-        return out
+        return []
+
+    def bury(run: _Running, now: float) -> List[TaskResult]:
+        """A worker died: a race member just leaves its race; a plain
+        unit's unsettled slots go to the supervised retry."""
+        retire(run)
+        if run.race is not None:
+            return race_sweep(run.race, now)
+        return crash_retry(
+            run, now, f"worker died (exitcode {run.proc.exitcode})"
+        )
 
     try:
         while queue or running or retry_tasks or delayed:
@@ -796,19 +764,14 @@ def stream_tasks(
                 del retry_tasks[:]
             if bag_deadline is not None and time.perf_counter() > bag_deadline:
                 detail = f"method budget {deadline_s:g}s"
-                for unit in queue:
+                # Queued units, and crash-retried units still waiting out
+                # their backoff, have no budget left.
+                for unit in queue + [u for _not_before, u in delayed]:
                     for ix, label in _unit_slots(unit):
                         yield from settle(
                             TaskResult(ix, label, "timeout", detail), fanout_all=True
                         )
                 queue.clear()
-                # Crash-retried units still waiting out their backoff
-                # have no budget left either.
-                for _not_before, unit in delayed:
-                    for ix, label in _unit_slots(unit):
-                        yield from settle(
-                            TaskResult(ix, label, "timeout", detail), fanout_all=True
-                        )
                 del delayed[:]
                 # Workers may have streamed verdicts the parent has not
                 # received yet.  Those are real -- drain every pipe (as
@@ -828,18 +791,11 @@ def stream_tasks(
                     )
                 del retry_tasks[:]
                 now = time.perf_counter()
-                seen_races = set()
-                for run in running:
-                    if run.race is not None:
-                        if id(run.race) not in seen_races:
-                            seen_races.add(id(run.race))
-                            yield from fail_race(
-                                run.race, "timeout", detail, now, fanout_all=True
-                            )
-                    elif run.remaining:
-                        yield from fail_remaining(
-                            run, "timeout", detail, now, fanout_all=True
-                        )
+                groups = {id(r.race or r): r.race or r for r in running}
+                for group in groups.values():
+                    yield from fail_slots(
+                        group, "timeout", detail, now, fanout_all=True
+                    )
                 for run in running:
                     retire(run)
                 running = []
@@ -868,14 +824,12 @@ def stream_tasks(
                         died = True
                 if not run.active:
                     continue
+                # A race shares one summed timeout bank across its
+                # members (their own deadline is None); a plain unit
+                # carries its own.
+                group = run.race or run
                 if died:
-                    retire(run)
-                    if run.race is not None:
-                        yield from race_sweep(run.race, now)
-                    else:
-                        yield from crash_retry(
-                            run, now, f"worker died (exitcode {run.proc.exitcode})"
-                        )
+                    yield from bury(run, now)
                 elif finished:
                     retire(run)
                     if run.race is not None:
@@ -883,75 +837,20 @@ def stream_tasks(
                         yield from race_sweep(run.race, now)
                     else:
                         # Defensive: a sentinel without all results errors the gap.
-                        yield from fail_remaining(
+                        yield from fail_slots(
                             run, "error", "worker ended without result", now
                         )
-                elif run.deadline is not None and now > run.deadline:
-                    # Per-unit budget expiry (non-race: members keep
-                    # deadline=None and share race.deadline).  Drain the
-                    # pipe first -- streamed verdicts survive the kill.
-                    yield from drain(run)
-                    retire(run)
-                    # Only the entry being solved when the bank ran out
-                    # actually timed out; re-queue the never-attempted
-                    # rest as standalone tasks with fresh budgets (the
-                    # bag deadline still bounds the whole method).
-                    if not run.remaining:
-                        pass
-                    elif isinstance(run.unit, BatchTask) and len(run.remaining) > 1:
-                        in_flight = next(iter(run.remaining))
-                        label = run.remaining.pop(in_flight)
-                        yield from settle(
-                            TaskResult(
-                                in_flight,
-                                label,
-                                "timeout",
-                                f"budget {run.unit.timeout_s:g}s",
-                                time_s=now - run.started,
-                            )
-                        )
-                        queue.extend(_requeue_singles(run.unit, run.remaining))
-                        run.remaining.clear()
-                    else:
-                        yield from fail_remaining(
-                            run, "timeout", f"budget {run.unit.timeout_s:g}s", now
-                        )
-                elif (
-                    run.race is not None
-                    and run.race.deadline is not None
-                    and now > run.race.deadline
-                    and run.race.remaining
-                ):
-                    # The race's shared bank ran out: drain every member
-                    # (any of them may hold streamed verdicts), kill the
-                    # group, then apply the same in-flight/re-queue split
-                    # a single worker gets.
-                    race = run.race
-                    for sib in race.runs:
-                        if sib.active:
-                            yield from drain(sib)
-                    for sib in race.runs:
-                        retire(sib)
-                    if not race.remaining:
-                        pass
-                    elif isinstance(race.unit, BatchTask) and len(race.remaining) > 1:
-                        in_flight = next(iter(race.remaining))
-                        label = race.remaining.pop(in_flight)
-                        yield from settle(
-                            TaskResult(
-                                in_flight,
-                                label,
-                                "timeout",
-                                f"budget {race.unit.timeout_s:g}s",
-                                time_s=now - race.started,
-                            )
-                        )
-                        queue.extend(_requeue_singles(race.unit, race.remaining))
-                        race.remaining.clear()
-                    else:
-                        yield from fail_race(
-                            race, "timeout", f"budget {race.unit.timeout_s:g}s", now
-                        )
+                elif group.deadline is not None and now > group.deadline:
+                    # Budget expiry.  Drain every member's pipe first
+                    # (streamed verdicts survive the kill), then kill the
+                    # group and split in-flight from never-attempted.
+                    members = run.race.runs if run.race is not None else [run]
+                    for member in members:
+                        if member.active:
+                            yield from drain(member)
+                    for member in members:
+                        retire(member)
+                    yield from expire(group, now)
                 elif not run.proc.is_alive():
                     # The worker exited but conn_wait did not surface the
                     # pipe (or it held nothing): drain any results that
@@ -959,15 +858,8 @@ def stream_tasks(
                     # (An exited worker's pipe polls ready on EOF too, so
                     # ``poll()`` alone cannot prove results are pending.)
                     yield from drain(run)
-                    if not run.active:
-                        continue
-                    retire(run)
-                    if run.race is not None:
-                        yield from race_sweep(run.race, now)
-                    elif run.remaining:
-                        yield from crash_retry(
-                            run, now, f"worker died (exitcode {run.proc.exitcode})"
-                        )
+                    if run.active:
+                        yield from bury(run, now)
             running = [r for r in running if r.active]
     finally:
         for run in running:

@@ -2,9 +2,9 @@
 
 This is the stable front door of the engine.  A
 :class:`VerificationSession` is long-lived: it owns the backend spec
-(validated once), the persistent verdict cache, an optional persistent
-worker pool, and -- because terms are hash-consed process-globally --
-the interned-term state every plan in the session shares.  Each
+(validated once), the persistent verdict and plan caches, and --
+because terms are hash-consed process-globally -- the interned-term
+state every plan in the session shares.  Each
 :meth:`~VerificationSession.submit` takes a :class:`VerificationRequest`
 (program + intrinsic definition + method selection + budgets) and
 returns a :class:`VerificationRun`: an iterator of typed
@@ -39,19 +39,23 @@ Thread-safety contract (the ``repro serve`` daemon relies on this, and
 ``tests/test_session.py`` pins it): :meth:`~VerificationSession.submit`
 may be called from any number of threads against one shared session.
 Method verification serializes on an internal submission lock -- the
-lock guards the process-global interned-term state, the plan/verdict
-caches and the persistent worker pool -- and is held while a method's
-events are being produced, so each *run's* event stream must be
-consumed from a single thread (draining it releases the lock for the
-next tenant between methods).
+lock guards the process-global interned-term state and the plan/verdict
+caches -- and is held while a method's events are being produced, so
+each *run's* event stream must be consumed from a single thread
+(draining it releases the lock for the next tenant between methods).
 
 Verdicts are identical to the legacy blocking engine at any ``jobs``,
 with and without batching, warm or cold cache (parity-tested).
+
+Execution follows one rule: ``jobs=1`` with no per-VC timeout, method
+budget, portfolio backend or worker-fault plan solves in-process; every
+other run solves each unit in its own supervised worker process, which
+is reaped before the method's stream ends (see
+:mod:`repro.engine.scheduler`).  No worker outlives a method.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import threading
 import time
 from pathlib import Path
@@ -147,20 +151,19 @@ class VerificationRun:
 
 
 class VerificationSession:
-    """Long-lived verification service: backend + cache + worker pool.
+    """Long-lived verification service: backend + caches + journal.
 
     Construction fails fast on an unknown/unavailable backend.  The
     session is reusable across many :meth:`submit`/:meth:`run` calls --
-    the verdict cache accumulates, in-flight dedup state is per-request,
-    and with ``jobs > 1`` a persistent worker pool amortizes process
-    spawns across calls on the no-timeout path.  Use as a context
-    manager (or call :meth:`close`) to reclaim the pool.
+    the verdict cache accumulates, in-flight dedup state is per-request.
+    Use as a context manager (or call :meth:`close`) to close the run
+    journal and apply the cache budgets.
 
     ``backend="portfolio:A,B[,...]"`` races the member backends per VC
     at the scheduler layer (first definitive verdict wins, losers are
-    cancelled); such sessions always use per-unit worker processes, so
-    the persistent pool is never materialized for them.  Construction
-    validates the member specs and degrades to the available subset.
+    cancelled), so such sessions always solve in worker processes.
+    Construction validates the member specs and degrades to the
+    available subset.
     """
 
     def __init__(
@@ -173,13 +176,11 @@ class VerificationSession:
         encoding: str = "decidable",
         memory_safety: bool = True,
         conflict_budget: Optional[int] = 200000,
-        mp_context: Optional[str] = None,
         simplify: bool = True,
         batch: bool = True,
         batch_size: int = 16,
         batch_node_limit: int = 2400,
         diagnostics: bool = True,
-        persistent_pool: bool = True,
         plan_cache: bool = True,
         cache_max_mb: Optional[float] = None,
         cache_max_age_days: Optional[float] = None,
@@ -205,23 +206,20 @@ class VerificationSession:
         self.encoding = encoding
         self.memory_safety = memory_safety
         self.conflict_budget = conflict_budget
-        self.mp_context = mp_context
         self.simplify = simplify
         self.batch = batch
         self.batch_size = max(1, int(batch_size))
         self.batch_node_limit = batch_node_limit
         self.diagnostics = diagnostics
-        self.persistent_pool = persistent_pool
         # Cache lifecycle budgets: when either is set, closing the
         # session runs an age/LRU sweep over the cache dir, protecting
         # every key this session wrote.
         self.cache_max_mb = cache_max_mb
         self.cache_max_age_days = cache_max_age_days
-        self._pool = None
         self._swept = False
         # Concurrent submit() support: the submission lock serializes
-        # per-method plan+solve work across threads (interned terms,
-        # caches and the pool are not otherwise thread-safe); reentrant
+        # per-method plan+solve work across threads (interned terms and
+        # caches are not otherwise thread-safe); reentrant
         # so a single thread may still interleave two of its own runs,
         # as the pre-daemon API allowed.  The seq counter is
         # session-scoped: every event the session ever emits gets a
@@ -229,7 +227,7 @@ class VerificationSession:
         self._lock = threading.RLock()
         self._seq_lock = threading.Lock()
         self._seq = 0
-        # Supervised-retry budget for worker deaths on the isolation path.
+        # Supervised-retry budget for worker deaths.
         self.max_retries = max(0, int(max_retries))
         # Crash-safe run journal: every settled slot (timeouts, errors
         # and attribution included -- outcomes the VC cache deliberately
@@ -269,15 +267,11 @@ class VerificationSession:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the persistent worker pool and, when lifecycle budgets
-        are configured, sweep the cache dir (idempotent).  Takes the
+        """Close the run journal and, when lifecycle budgets are
+        configured, sweep the cache dir (idempotent).  Takes the
         submission lock, so an in-flight submit finishes its current
-        method before the pool is torn down."""
+        method first."""
         with self._lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
             if self.run_journal is not None:
                 self.run_journal.close()
             self._sweep_caches()
@@ -309,12 +303,6 @@ class VerificationSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            ctx = mp.get_context(self.mp_context) if self.mp_context else mp.get_context()
-            self._pool = ctx.Pool(processes=self.jobs)
-        return self._pool
 
     # -- plumbing -----------------------------------------------------------
 
@@ -414,8 +402,8 @@ class VerificationSession:
         for method in request.method_list:
             # One method = one critical section: concurrent submits
             # interleave *between* methods, never inside one (the
-            # interned-term state, plan cache, verdict cache and pool
-            # are all touched below).  The lock is deliberately held
+            # interned-term state, plan cache and verdict cache are all
+            # touched below).  The lock is deliberately held
             # across the yields -- the consumer drives the solve, so
             # releasing mid-method would let a second tenant corrupt
             # the shared state the first is still reading.
@@ -519,23 +507,12 @@ class VerificationSession:
         # Phase 2 events: one terminal event per solvable slot, pushed
         # as the scheduler's streaming protocol delivers verdicts.
         units = self._units(plan, timeout_s, skip=set(replayed) or None)
-        use_pool = (
-            self.persistent_pool
-            and self.jobs > 1
-            and timeout_s is None
-            and budget_s is None
-        )
         solve_started = time.perf_counter()
         for res in stream_tasks(
             units,
             jobs=self.jobs,
             cache=self.cache,
-            mp_context=self.mp_context,
             deadline_s=budget_s,
-            # Lazy: the pool is only materialized when a cache-missing
-            # unit actually reaches a worker, so warm-cache submits
-            # spawn no processes.
-            pool_factory=self._ensure_pool if use_pool else None,
             max_retries=self.max_retries,
         ):
             state.task_results.append(res)

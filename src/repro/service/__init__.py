@@ -4,7 +4,7 @@ The paper's pitch is *predictable* verification -- fixed-cost VC
 generation cheap enough to run constantly.  This package is the serving
 surface for that capability: a stdlib-only HTTP daemon wrapping one
 shared :class:`~repro.engine.session.VerificationSession` (hot VC/plan
-caches, persistent worker pool) behind admission control.
+caches) behind admission control.
 
 - :mod:`~repro.service.models` -- versioned request/response wire
   models with strict validation and typed error envelopes

@@ -6,8 +6,8 @@ that turns the session engine into a multi-tenant service:
 
 - **one shared** :class:`~repro.engine.session.VerificationSession`
   behind its submission lock -- every tenant hits the same hot VC/plan
-  caches and persistent worker pool, so the second client asking for a
-  method the first just verified is served warm from cache;
+  caches, so the second client asking for a method the first just
+  verified is served warm from cache;
 - an :class:`~repro.service.queue.AdmissionQueue` in front of it --
   bounded FIFO queue, in-flight cap, per-client solve-second budgets
   keyed by the ``X-Client-Id`` header (429 + ``Retry-After`` on

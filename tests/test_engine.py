@@ -10,6 +10,7 @@ unit test.
 """
 
 import json
+import time
 
 import pytest
 
@@ -244,18 +245,33 @@ def test_formula_key_canonical_fast_path_matches():
 # -- timeouts ----------------------------------------------------------------
 
 
+class _HangBackend(SolverBackend):
+    """Every VC hangs, so any per-VC budget fires (a real solver may beat
+    a tiny budget on easy VCs)."""
+
+    name = "engine-hang"
+
+    def check_validity(self, formula, conflict_budget=None, pre_simplified=False):
+        time.sleep(30)
+        return BackendVerdict("valid")
+
+
 def test_per_task_timeout_reports_budget_not_hang(loaded):
     program, ids = loaded["Binary Search Tree"]
-    engine = VerificationEngine(jobs=2, timeout_s=0.05)
-    report = engine.verify(program, ids, "bst_find")
+    register_backend("engine-hang", lambda arg=None: _HangBackend())
+    try:
+        engine = VerificationEngine(jobs=2, timeout_s=0.05, backend="engine-hang")
+        report = engine.verify(program, ids, "bst_find")
+    finally:
+        from repro.engine.backends import _REGISTRY
+
+        _REGISTRY.pop("engine-hang", None)
     assert not report.ok
     assert report.timeouts > 0
     assert any(": timeout (" in f for f in report.failed)
 
 
 def test_method_budget_bounds_the_bag(loaded):
-    import time
-
     program, ids = loaded["Binary Search Tree"]
     # The budget must expire mid-bag: simplification makes bst_find's whole
     # solve phase sub-second, so the budget has to be far below one worker

@@ -110,12 +110,15 @@ def test_queue_slots_transfer_fifo_to_waiters():
     queue.admit("holder")
     order = []
     started = threading.Barrier(3)
+    first_admitted = threading.Event()
 
     def wait_in_line(name):
         started.wait(timeout=5)
         time.sleep(0.05 if name == "second" else 0.0)  # force arrival order
         queue.admit(name)
         order.append(name)
+        if name == "first":
+            first_admitted.set()
 
     threads = [
         threading.Thread(target=wait_in_line, args=(name,))
@@ -129,6 +132,9 @@ def test_queue_slots_transfer_fifo_to_waiters():
         time.sleep(0.01)
     assert queue.snapshot()["depth"] == 2
     queue.release("holder")  # slot hands over to "first"
+    # Release "first" only once it has recorded its admission, so the
+    # order it appends in is the order the slots were handed over.
+    assert first_admitted.wait(timeout=5)
     queue.release("first")  # then to "second"
     for t in threads:
         t.join(timeout=5)

@@ -17,7 +17,9 @@ also enforces in CI):
 
 import importlib.util
 import json
+import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -88,8 +90,11 @@ def _events_of(session, program, ids, method):
 def test_session_matches_sequential_reference(loaded, reference, structure, method, jobs, batch):
     program, ids = loaded[structure]
     ref = reference[method]
+    before = set(mp.active_children())
     with VerificationSession(jobs=jobs, batch=batch, diagnostics=False) as session:
         result = session.verify(program, ids, method)
+        # Every worker is reaped before verify() returns.
+        assert set(mp.active_children()) <= before
     report = result.to_report()
     assert (report.ok, report.n_vcs, report.failed, report.wb_ok, report.ghost_ok) == (
         ref.ok, ref.n_vcs, ref.failed, ref.wb_ok, ref.ghost_ok
@@ -258,29 +263,28 @@ def test_vcevent_json_round_trip(loaded):
         assert VcEvent.from_json(doc).to_json() == doc
 
 
-def test_persistent_pool_is_reused_across_submits(loaded):
+def test_warm_cache_run_spawns_no_pool(loaded, tmp_path, monkeypatch):
     program, ids = loaded[OK_METHOD[0]]
-    with VerificationSession(jobs=2, diagnostics=False) as session:
-        session.verify(program, ids, "sll_find")
-        pool = session._pool
-        assert pool is not None
-        session.verify(program, ids, "sll_find")
-        assert session._pool is pool
-    assert session._pool is None  # closed on exit
+    starts = []
+    real_start = mp.process.BaseProcess.start
 
+    def counting_start(self):
+        starts.append(self.name)
+        return real_start(self)
 
-def test_warm_cache_run_spawns_no_pool(loaded, tmp_path):
-    program, ids = loaded[OK_METHOD[0]]
+    monkeypatch.setattr(mp.process.BaseProcess, "start", counting_start)
     with VerificationSession(
         jobs=2, cache_dir=str(tmp_path), diagnostics=False
     ) as cold:
         cold.verify(program, ids, OK_METHOD[1])
+    assert starts, "the cold jobs=2 run solves in workers"
+    del starts[:]
     with VerificationSession(
         jobs=2, cache_dir=str(tmp_path), diagnostics=False
     ) as warm:
         result = warm.verify(program, ids, OK_METHOD[1])
         assert result.cache_hits > 0
-        assert warm._pool is None, "fully cached runs must not fork workers"
+    assert starts == [], "fully cached runs must not fork workers"
 
 
 # -- worker-death and batch-timeout event paths ------------------------------
@@ -354,6 +358,63 @@ def test_batch_timeout_event_attribution(loaded, sleepy_second_backend):
     assert timeouts and all("budget" in e.detail for e in timeouts if e.kind == "timeout")
     assert any(e.kind == "solved" and e.verdict == "valid" for e in terminals)
     assert result.timeouts == len(timeouts)
+
+
+# -- workers die at their deadline, whatever the parent's handlers ------------
+
+_HANG_S = 5.0
+
+
+class _HangBackend(SolverBackend):
+    """Every VC hangs far past the per-VC budget under test."""
+
+    name = "session-hang"
+
+    def check_validity(self, formula, conflict_budget=None, pre_simplified=False):
+        time.sleep(_HANG_S)
+        return BackendVerdict("valid")
+
+
+@pytest.fixture
+def hang_backend():
+    register_backend("session-hang", lambda arg=None: _HangBackend())
+    yield
+    _REGISTRY.pop("session-hang", None)
+
+
+def test_worker_deadline_fires_under_parent_sigterm_handler(loaded, hang_backend):
+    """``repro serve`` holds a SIGTERM handler that only starts a drain.
+    A forked worker that kept it would shrug off terminate() at its
+    deadline and hang on to a verdict: every slot must time out, and
+    the whole solve must end before a single hang could."""
+    program, ids = loaded[OK_METHOD[0]]
+    previous = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
+    try:
+        with VerificationSession(
+            jobs=2,
+            backend="session-hang",
+            timeout_s=0.2,
+            batch=False,
+            diagnostics=False,
+        ) as session:
+            start = time.perf_counter()
+            result = session.verify(program, ids, OK_METHOD[1])
+            wall = time.perf_counter() - start
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert result.n_vcs > 0
+    assert [v.status for v in result.verdicts] == ["timeout"] * result.n_vcs
+    assert wall < _HANG_S
+
+
+def test_cli_verify_workers_print_nothing_under_sigterm_trap(capfd):
+    """``repro verify`` maps SIGTERM to KeyboardInterrupt; a worker that
+    inherited that trap printed a traceback when reaped."""
+    code = cli.main(
+        ["verify", "--method", "sll_find", "--jobs", "2", "--timeout", "60", "-q"]
+    )
+    assert code == 0
+    assert capfd.readouterr().err == ""
 
 
 class _RaisingBackend(SolverBackend):
